@@ -214,7 +214,7 @@ fn nearest_rank(len: usize, q: f64) -> usize {
 
 /// Nearest-rank percentile of an ascending-sorted sample (`q` in `(0, 1]`).
 /// Returns 0 for an empty sample.  The rank is computed in integer
-/// arithmetic (see [`nearest_rank`]); results are exact, unlike the
+/// arithmetic (see `nearest_rank`); results are exact, unlike the
 /// sketch-quantized percentiles in [`ServeReport`].
 #[must_use]
 pub fn percentile_sorted(sorted: &[u64], q: f64) -> u64 {

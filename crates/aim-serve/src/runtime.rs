@@ -284,16 +284,6 @@ impl ServeRuntime {
         self.analytical.as_deref()
     }
 
-    /// Changes the sampled-verification cadence in place.
-    #[deprecated(
-        since = "0.1.0",
-        note = "configure the cadence up front: `ServeConfig::builder().verify_every(n)` \
-                (the cadence never re-runs calibration, so rebuilding the config is free)"
-    )]
-    pub fn set_verify_every(&mut self, verify_every: usize) {
-        self.config.verify_every = verify_every;
-    }
-
     /// Deliberately mis-calibrates `model`'s analytical view by scaling its
     /// predicted cycles (and fitted cycle scale) by `factor` — the
     /// fault-injection hook drift-detection tests and benches use to prove

@@ -18,13 +18,13 @@
 //!   both backends and the fractional capacity-loss accounting.
 //!
 //! Together the fault plans cover every
-//! [`FaultKind`](workloads::inputs::FaultKind) variant — a coverage test
+//! [`workloads::inputs::FaultKind`] variant — a coverage test
 //! keeps that true as variants are added.
 //!
 //! A second, **multi-region** catalogue ([`global_all`]) freezes whole
 //! [`GlobalRouter`] runs the same way — heterogeneous regions (low-power vs
 //! sprint silicon), scripted region outages/recoveries/flash crowds — and
-//! covers every [`RegionFaultKind`](workloads::inputs::RegionFaultKind)
+//! covers every [`workloads::inputs::RegionFaultKind`]
 //! variant:
 //!
 //! * **`region-outage-at-peak`** — a region dies at the traffic crest and
@@ -37,7 +37,7 @@
 //!   shed ceilings: pins the per-class shed order (best-effort first).
 //!
 //! A third, **DAG** catalogue ([`dag_all`]) freezes whole
-//! [`DagOrchestrator`](crate::dag::DagOrchestrator) runs — multi-stage
+//! [`crate::dag::DagOrchestrator`] runs — multi-stage
 //! request DAGs multiplexed with point traffic:
 //!
 //! * **`dag-cascade-chip-death`** — chips die *between the stages* of

@@ -96,7 +96,7 @@
 //! per-request state that can outlive its group is the unpolled
 //! [`RequestOutcome`] stream, and `ServeConfig::completion_capacity` bounds
 //! that too — report-only callers that never poll hold a fixed window, with
-//! the overflow counted by [`Self::completions_dropped`].
+//! the overflow counted by [`ServeSession::completions_dropped`].
 //!
 //! [`submit`]: ServeSession::submit
 //! [`run_until`]: ServeSession::run_until

@@ -10,7 +10,7 @@
 //!   incremental stepping returns byte-identical reports to the one-shot
 //!   wrapper;
 //! * `ReportAccumulator::merge` combines sharded sessions;
-//! * the `ServeConfig` builder and the deprecated `set_verify_every` shim.
+//! * the `ServeConfig` builder.
 
 use std::sync::OnceLock;
 
@@ -409,20 +409,6 @@ fn builder_matches_struct_literal_and_validates() {
 #[should_panic(expected = "audit chips")]
 fn builder_rejects_degenerate_configs_at_build_time() {
     let _ = ServeConfig::builder().chips(2).audit_chips(3).build();
-}
-
-#[test]
-fn deprecated_verify_cadence_shim_still_works() {
-    let config = ServeConfig::builder()
-        .chips(2)
-        .backend(BackendKind::Analytical)
-        .build();
-    let mut runtime = ServeRuntime::from_plans(plans().clone(), config);
-    #[allow(deprecated)]
-    runtime.set_verify_every(1);
-    let report = runtime.serve(&interleaved_trace(8));
-    let verification = report.verification.expect("cadence was enabled");
-    assert_eq!(verification.sampled, report.groups_executed);
 }
 
 #[test]

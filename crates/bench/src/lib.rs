@@ -58,63 +58,78 @@ pub fn bench_json_path() -> PathBuf {
 /// binaries).  Failures are reported on stderr but never abort a benchmark.
 pub fn append_bench_record<T: Serialize>(record: &T) {
     let path = bench_json_path();
-    let new_json = match serde_json::to_string_pretty(record) {
-        Ok(json) => json,
-        Err(e) => {
-            eprintln!("warning: could not serialise bench record: {e}");
-            return;
-        }
-    };
-    let indented: String = new_json
-        .lines()
-        .map(|l| format!("    {l}\n"))
-        .collect::<String>()
-        .trim_end()
-        .to_string();
-
-    let fresh_file = |record: &str| {
-        format!(
-            "{{\n  \"benchmark\": \"chip_sim\",\n  \"records\": [\n    {}\n  ]\n}}\n",
-            record.trim_start()
-        )
-    };
-    let body = match fs::read_to_string(&path) {
-        Ok(existing) => {
-            if let Some(end) = existing.rfind("\n  ]") {
-                let (head, tail) = existing.split_at(end);
-                format!("{head},\n    {}{tail}", indented.trim_start())
-            } else {
-                fresh_file(&indented)
-            }
-        }
-        Err(_) => fresh_file(&indented),
-    };
-    match fs::write(&path, body) {
+    let existing = fs::read_to_string(&path).ok();
+    match fs::write(&path, splice_record(existing.as_deref(), record)) {
         Ok(()) => println!("  -> {}", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
 }
 
-/// Last recorded numeric value of `"field": <number>` in
-/// `BENCH_chip_sim.json`, scanned textually (the JSON shim has no parser).
-/// Used by smoke binaries to compare a fresh run against the trajectory.
-#[must_use]
-pub fn last_bench_value(field: &str) -> Option<f64> {
-    let contents = fs::read_to_string(bench_json_path()).ok()?;
-    let needle = format!("\"{field}\":");
-    let mut last = None;
-    for (pos, _) in contents.match_indices(&needle) {
-        let rest = contents[pos + needle.len()..].trim_start();
-        let end = rest
-            .find(|c: char| {
-                !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
-            })
-            .unwrap_or(rest.len());
-        if let Ok(v) = rest[..end].parse::<f64>() {
-            last = Some(v);
-        }
+/// The trajectory `existing` with `record` appended as the last element of
+/// its `"records"` array (a fresh trajectory when there is none).
+fn splice_record<T: Serialize>(existing: Option<&str>, record: &T) -> String {
+    let indented: String = serde_json::to_string_pretty(record)
+        .expect("the JSON shim writer never fails")
+        .lines()
+        .map(|l| format!("    {l}\n"))
+        .collect::<String>()
+        .trim()
+        .to_string();
+    match existing.and_then(|e| e.rfind("\n  ]").map(|end| e.split_at(end))) {
+        Some((head, tail)) => format!("{head},\n    {indented}{tail}"),
+        None => format!(
+            "{{\n  \"benchmark\": \"chip_sim\",\n  \"records\": [\n    {indented}\n  ]\n}}\n"
+        ),
     }
-    last
+}
+
+/// Keys under which the serving smoke records carry their request count,
+/// one per record kind.
+pub const REQUEST_COUNT_KEYS: [&str; 7] = [
+    "serve_requests",
+    "serve_ana_requests",
+    "serve_online_requests",
+    "serve_fleet_requests",
+    "serve_dag_requests",
+    "serve_global_requests",
+    "serve_hyper_requests",
+];
+
+/// Numeric `field` of the last `BENCH_chip_sim.json` record that ran
+/// `requests` requests (under one of [`REQUEST_COUNT_KEYS`]).  Smoke
+/// binaries compare a fresh run against it, so a run is only ever gated
+/// against a run of the same size.
+#[must_use]
+pub fn last_bench_value(field: &str, requests: usize) -> Option<f64> {
+    last_value_in(
+        &fs::read_to_string(bench_json_path()).ok()?,
+        field,
+        requests,
+    )
+}
+
+/// [`last_bench_value`] over an in-memory trajectory.  The writer closes
+/// every record at four-space indent, so splitting there yields one record
+/// per chunk (the JSON shim has no parser).
+fn last_value_in(trajectory: &str, field: &str, requests: usize) -> Option<f64> {
+    trajectory
+        .rsplit("\n    }")
+        .filter(|record| {
+            REQUEST_COUNT_KEYS
+                .iter()
+                .any(|key| number_in::<usize>(record, key) == Some(requests))
+        })
+        .find_map(|record| number_in::<f64>(record, field))
+}
+
+/// The number after `"key":` in one record's text, if present and not null.
+fn number_in<T: std::str::FromStr>(record: &str, key: &str) -> Option<T> {
+    let needle = format!("\"{key}\":");
+    let rest = record[record.find(&needle)? + needle.len()..].trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | 'e' | 'E' | '+')))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
 }
 
 /// Prints a section header for an experiment binary.
@@ -172,9 +187,34 @@ mod tests {
 
     #[test]
     fn last_bench_value_scans_the_committed_trajectory() {
-        // The committed trajectory always carries at least the seed records.
-        let v = last_bench_value("chip_sim_static_ms");
+        // The committed trajectory carries the million-request hyperscale
+        // baseline the CI job gates against.
+        let v = last_bench_value("serve_hyper_virtual_rps", 1_000_000);
         assert!(v.is_some_and(|v| v > 0.0));
-        assert_eq!(last_bench_value("no_such_field"), None);
+        assert_eq!(last_bench_value("no_such_field", 1_000_000), None);
+    }
+
+    #[test]
+    fn last_bench_value_gates_against_a_run_of_the_same_size() {
+        let record = |requests: usize, rps: f64| {
+            serde::Value::Object(vec![
+                ("label".to_string(), serde::Value::Str("r".to_string())),
+                (
+                    "serve_hyper_requests".to_string(),
+                    serde::Value::UInt(requests as u64),
+                ),
+                (
+                    "serve_hyper_virtual_rps".to_string(),
+                    serde::Value::Float(rps),
+                ),
+            ])
+        };
+        let full = splice_record(None, &record(1_000_000, 15_959_308.87));
+        let trajectory = splice_record(Some(&full), &record(200_000, 21_970_042.75));
+        let value = |requests| last_value_in(&trajectory, "serve_hyper_virtual_rps", requests);
+        // The later, smaller run must not become the million-request baseline.
+        assert_eq!(value(1_000_000), Some(15_959_308.87));
+        assert_eq!(value(200_000), Some(21_970_042.75));
+        assert_eq!(value(100_000), None);
     }
 }

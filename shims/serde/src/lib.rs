@@ -108,6 +108,14 @@ impl Serialize for bool {
 }
 impl Deserialize for bool {}
 
+/// A hand-built tree (e.g. a record assembled key by key) serializes as
+/// itself.
+impl Serialize for Value {
+    fn to_value(&self) -> Value {
+        self.clone()
+    }
+}
+
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
