@@ -468,12 +468,13 @@ impl<'rt> DagOrchestrator<'rt> {
     // --- the canonical event walk ------------------------------------------
 
     /// Processes every canonical event due at or before `target`, in time
-    /// order; dependency-ready submissions run before fleet observations on
-    /// ties (a submission at `t` must enter the estimated schedule before
-    /// anything else is derived from it).
+    /// order.  The same-cycle rule: dependency-ready submissions run before
+    /// fleet observations (a submission at `t` must enter the estimated
+    /// schedule before anything else is derived from it), and ready stages
+    /// in the `ready` set's order.
     fn pump(&mut self, target: u64) {
         loop {
-            let ready_head = self.ready.iter().next().copied();
+            let ready_head = self.ready.first().copied();
             let fleet_event = self.fleet.next_event_cycles();
             let next = match (ready_head, fleet_event) {
                 (None, None) => break,
@@ -485,7 +486,7 @@ impl<'rt> DagOrchestrator<'rt> {
                 break;
             }
             if let Some((ready_at, item, stage)) = ready_head.filter(|&(r, _, _)| r <= next) {
-                self.ready.remove(&(ready_at, item, stage));
+                self.ready.pop_first();
                 self.submit_stage(item, stage, ready_at);
                 continue;
             }

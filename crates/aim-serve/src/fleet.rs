@@ -15,13 +15,13 @@
 //! ## Determinism under chaos
 //!
 //! Everything the fleet does is driven by *virtual time*, never by wall
-//! clock or call cadence.  Faults and scaling checks live in one
-//! time-ordered event stream; [`submit`] and [`run_until`] first apply every
-//! event at or before the new time, so a fault always strikes at the same
-//! point of the submission sequence no matter how the caller steps the
-//! session.  Within one virtual cycle the order is fixed: faults apply
-//! before scaling checks, both before the submission carrying that arrival
-//! time.  Scheduling stays estimate-pure (the [`ServeSession`] contract), so
+//! clock or call cadence.  Faults and scaling checks live in one ordered
+//! set of `(cycle, event)` pairs, whose same-cycle order is stated once, at
+//! the event type.  [`submit`] and [`run_until`] first apply every event at
+//! or before the new time, so a fault always strikes at the same point of
+//! the submission sequence however the caller steps the session; events at
+//! an arrival's cycle apply before that submission.  Scheduling stays
+//! estimate-pure (the [`ServeSession`] contract), so
 //! a fixed `(trace, FleetConfig, FaultPlan)` produces a byte-identical
 //! [`FleetReport`] across reruns, worker-thread counts, `run_until`
 //! granularities and shard polling orders — which is what lets the chaos
@@ -57,10 +57,12 @@
 //! [`run_until`]: FleetSession::run_until
 //! [`FaultPlan`]: workloads::inputs::FaultPlan
 
+use std::collections::BTreeSet;
+
 use serde::{Deserialize, Serialize};
 
 use pim_sim::backend::ChipHealth;
-use workloads::inputs::{FaultEvent, FaultKind, FaultPlan, SloClass, TraceRequest};
+use workloads::inputs::{FaultKind, FaultPlan, SloClass, TraceRequest};
 
 use crate::report::{DagServeStats, ReportAccumulator, ServeReport};
 use crate::runtime::ServeRuntime;
@@ -319,6 +321,26 @@ fn degraded_loss_cycles(interval: u64, slowdown_percent: u32) -> u64 {
     interval.saturating_mul(p) / (100 + p)
 }
 
+/// Backlog pressure: per-class backlog cycles weighted by `weights`
+/// (ascending priority order), summed — saturating throughout.
+pub(crate) fn weighted_pressure(backlog: [u64; 3], weights: [u64; 3]) -> u64 {
+    backlog
+        .iter()
+        .zip(weights)
+        .map(|(&b, w)| b.saturating_mul(w))
+        .fold(0, u64::saturating_add)
+}
+
+/// A pending fleet event.  The derived order is the same-cycle tie rule:
+/// faults apply before scaling checks, and faults in plan order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum FleetEvent {
+    /// The fault at this index of the fleet's [`FaultPlan`].
+    Fault(usize),
+    /// One scaling decision per shard.
+    ScaleCheck,
+}
+
 /// A sharded, fault-tolerant, elastically scaled serving session — see the
 /// [module docs](self) for semantics.  All shards serve the same compiled
 /// plan set (they borrow one [`ServeRuntime`]); each owns an independent
@@ -332,8 +354,8 @@ pub struct FleetSession<'rt> {
     clock: u64,
     drained: bool,
     faults: FaultPlan,
-    next_fault: usize,
-    next_scale_check: u64,
+    /// Pending faults and the next scaling check, in application order.
+    events: BTreeSet<(u64, FleetEvent)>,
     /// The fleet's event horizon: the latest externally scheduled event —
     /// fault time or submitted arrival — seen so far.  Virtual time never
     /// advances past it (see [`Self::run_until`]), which is what makes the
@@ -398,7 +420,15 @@ impl<'rt> FleetSession<'rt> {
             }
         }
         let peak_workers = shards.iter().map(ServeSession::active_workers).sum();
-        let next_scale_check = config.scaling.map_or(u64::MAX, |s| s.check_interval_cycles);
+        let mut events: BTreeSet<(u64, FleetEvent)> = faults
+            .events
+            .iter()
+            .enumerate()
+            .map(|(index, event)| (event.at_cycles, FleetEvent::Fault(index)))
+            .collect();
+        if let Some(scaling) = config.scaling {
+            events.insert((scaling.check_interval_cycles, FleetEvent::ScaleCheck));
+        }
         // Fault times are data, so they seed the horizon up front; arrivals
         // extend it as they are submitted.
         let horizon = faults.events.last().map_or(0, |e| e.at_cycles);
@@ -410,8 +440,7 @@ impl<'rt> FleetSession<'rt> {
             clock: 0,
             drained: false,
             faults,
-            next_fault: 0,
-            next_scale_check,
+            events,
             horizon,
             next_shard_rr: 0,
             deaths: Vec::new(),
@@ -545,12 +574,7 @@ impl<'rt> FleetSession<'rt> {
             .iter()
             .filter_map(ServeSession::next_event_cycles)
             .min()?;
-        let mut next = work;
-        if let Some(event) = self.faults.events.get(self.next_fault) {
-            next = next.min(event.at_cycles);
-        }
-        next = next.min(self.next_scale_check);
-        Some(next)
+        Some(self.events.first().map_or(work, |&(at, _)| work.min(at)))
     }
 
     /// Drains the accumulated per-request outcomes of every shard (shard
@@ -646,7 +670,9 @@ impl<'rt> FleetSession<'rt> {
             .collect();
         let availability = AvailabilityStats {
             shards: self.shards.len(),
-            faults_injected: self.next_fault,
+            // The horizon is at or past the last fault, so every fault has
+            // applied by now.
+            faults_injected: self.faults.len(),
             chip_deaths: self.chip_deaths,
             degradations: self.degradations,
             recoveries: self.recoveries,
@@ -727,80 +753,61 @@ impl<'rt> FleetSession<'rt> {
 
     // --- the chaos event loop ----------------------------------------------
 
-    /// Applies every fault and scaling check due at or before `target`, in
-    /// time order (faults first on ties), then advances the fleet clock.
+    /// Applies every pending event due at or before `target` in set order,
+    /// then advances the fleet clock.
     fn advance(&mut self, target: u64) {
-        loop {
-            let fault_at = self
-                .faults
-                .events
-                .get(self.next_fault)
-                .map(|e| e.at_cycles)
-                .filter(|&t| t <= target);
-            let check_at = (self.next_scale_check <= target).then_some(self.next_scale_check);
-            match (fault_at, check_at) {
-                (Some(f), Some(c)) if f > c => self.apply_scale_check(c),
-                (Some(_), _) => {
-                    let event = self.faults.events[self.next_fault];
-                    self.next_fault += 1;
-                    self.apply_fault(event);
-                }
-                (None, Some(c)) => self.apply_scale_check(c),
-                (None, None) => break,
+        while let Some(&(at, event)) = self.events.first().filter(|&&(at, _)| at <= target) {
+            self.events.pop_first();
+            match event {
+                FleetEvent::Fault(index) => self.apply_fault(at, self.faults.events[index].kind),
+                FleetEvent::ScaleCheck => self.apply_scale_check(at),
             }
         }
         self.clock = self.clock.max(target);
     }
 
-    /// Applies one fault event and updates the availability ledgers.
-    fn apply_fault(&mut self, event: FaultEvent) {
-        let at = event.at_cycles;
-        match event.kind {
-            FaultKind::ChipDeath { shard, chip } => {
+    /// Applies one fault striking at `at` and updates the availability
+    /// ledgers.
+    fn apply_fault(&mut self, at: u64, kind: FaultKind) {
+        let (shard, chip) = (kind.shard(), kind.chip());
+        // Any fault ends the chip's open degradation interval.
+        if let Some((since, percent)) = self.open_degradation[shard][chip].take() {
+            self.closed_lost_cycles += degraded_loss_cycles(at.saturating_sub(since), percent);
+        }
+        match kind {
+            FaultKind::ChipDeath { .. } => {
                 self.shards[shard].kill_chip(chip, at);
-                if let Some((since, percent)) = self.open_degradation[shard][chip].take() {
-                    self.closed_lost_cycles +=
-                        degraded_loss_cycles(at.saturating_sub(since), percent);
-                }
                 self.deaths.push((shard, chip, at));
                 self.chip_deaths += 1;
             }
             FaultKind::Degradation {
-                shard,
-                chip,
-                slowdown_percent,
+                slowdown_percent, ..
             } => {
                 self.shards[shard].set_chip_health(
                     chip,
                     ChipHealth::Degraded { slowdown_percent },
                     at,
                 );
-                if let Some((since, percent)) = self.open_degradation[shard][chip].take() {
-                    self.closed_lost_cycles +=
-                        degraded_loss_cycles(at.saturating_sub(since), percent);
-                }
                 self.open_degradation[shard][chip] = Some((at, slowdown_percent));
                 self.degradations += 1;
             }
-            FaultKind::Recovery { shard, chip } => {
+            FaultKind::Recovery { .. } => {
                 self.shards[shard].set_chip_health(chip, ChipHealth::Healthy, at);
-                if let Some((since, percent)) = self.open_degradation[shard][chip].take() {
-                    self.closed_lost_cycles +=
-                        degraded_loss_cycles(at.saturating_sub(since), percent);
-                }
                 self.recoveries += 1;
             }
         }
         self.peak_workers = self.peak_workers.max(self.active_workers());
     }
 
-    /// Runs one scaling decision per shard at virtual time `at`.
+    /// Runs one scaling decision per shard at virtual time `at` and arms
+    /// the next one.
     fn apply_scale_check(&mut self, at: u64) {
         let scaling = self
             .config
             .scaling
             .expect("scale checks only fire with scaling configured");
-        self.next_scale_check = at + scaling.check_interval_cycles;
+        self.events
+            .insert((at + scaling.check_interval_cycles, FleetEvent::ScaleCheck));
         let chips = self.runtime.config().chips;
         let cap = if scaling.max_workers == 0 {
             chips
@@ -811,12 +818,7 @@ impl<'rt> FleetSession<'rt> {
             // Step to the decision point first so "not started" backlog
             // reflects this virtual time, independent of caller stepping.
             session.run_until(at);
-            let backlog = session.class_backlog_cycles();
-            let pressure: u64 = backlog
-                .iter()
-                .zip(scaling.class_weights)
-                .map(|(&b, w)| b.saturating_mul(w))
-                .fold(0, u64::saturating_add);
+            let pressure = weighted_pressure(session.class_backlog_cycles(), scaling.class_weights);
             let active = session.active_workers();
             if pressure > scaling.scale_up_backlog_cycles
                 && active < cap.min(session.alive_workers())

@@ -40,9 +40,10 @@
 //!   forcibly drained), and after `recovery_warmup_cycles` it is
 //!   **Healthy** again.
 //!
-//! All transitions are virtual-time events in one deterministic stream with
-//! plan events, so report bytes are invariant to stepping granularity and
-//! polling order, exactly like the layers below.
+//! Plan events, timed transitions and retries are virtual-time events in
+//! one ordered set of `(cycle, event)` pairs whose same-cycle rule is
+//! stated once, at the event type, so report bytes are invariant to
+//! stepping granularity and polling order, exactly like the layers below.
 //!
 //! ## Retry budgets and graceful degradation
 //!
@@ -61,18 +62,18 @@
 //! [`RegionRecovery`]: RegionFaultKind::RegionRecovery
 //! [`CompiledPlan`]: aim_core::pipeline::CompiledPlan
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
 use workloads::inputs::{FaultPlan, RegionFaultKind, RegionFaultPlan, SloClass, TraceRequest};
 
-use crate::fleet::{ClassAttainment, FleetConfig, FleetReport, FleetSession};
+use crate::fleet::{weighted_pressure, ClassAttainment, FleetConfig, FleetReport, FleetSession};
 use crate::runtime::ServeRuntime;
 use crate::session::CompletionStatus;
 
 /// Health of one region, as seen by the router's state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum RegionHealth {
     /// Taking traffic normally.
     Healthy,
@@ -520,6 +521,26 @@ pub struct GlobalReport {
     pub summary: GlobalSummary,
 }
 
+/// A pending router event.  The derived order is the same-cycle tie rule:
+/// plan events, then timed transitions, then retries; plan events in plan
+/// order, the rest first-scheduled first (`seq` is unique, so it decides
+/// before any later field).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum GlobalEvent {
+    /// The event at this index of the router's [`RegionFaultPlan`].
+    Plan(usize),
+    /// Move `region` to `target`, unless a transition since `generation`
+    /// made this one stale.
+    Transition {
+        seq: u64,
+        region: usize,
+        generation: u64,
+        target: RegionHealth,
+    },
+    /// Re-route request `id`.
+    Retry { seq: u64, id: usize },
+}
+
 /// How one tracked request was finally resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Resolved {
@@ -570,7 +591,9 @@ struct RegionState<'rt> {
 pub struct GlobalRouter<'rt> {
     config: GlobalConfig,
     plan: RegionFaultPlan,
-    next_plan_event: usize,
+    /// Pending plan events, timed transitions and retries, in application
+    /// order.
+    events: BTreeSet<(u64, GlobalEvent)>,
     regions: Vec<RegionState<'rt>>,
     /// Global model id → regions holding it (ascending).
     holders: Vec<Vec<usize>>,
@@ -581,11 +604,6 @@ pub struct GlobalRouter<'rt> {
     horizon: u64,
     drained: bool,
     tracks: Vec<RequestTrack>,
-    /// Pending timed health transitions:
-    /// `(at, seq) → (region, generation, target)`.
-    transitions: BTreeMap<(u64, u64), (usize, u64, RegionHealth)>,
-    /// Pending retries: `(at, seq) → request id`.
-    retries: BTreeMap<(u64, u64), usize>,
     next_seq: u64,
     completions: Vec<GlobalOutcome>,
     outages: usize,
@@ -668,18 +686,22 @@ impl<'rt> GlobalRouter<'rt> {
                 "model {model} is resident in no region — it could never be served"
             );
         }
+        let events = plan
+            .events
+            .iter()
+            .enumerate()
+            .map(|(index, event)| (event.at_cycles, GlobalEvent::Plan(index)))
+            .collect();
         Self {
             config,
             plan,
-            next_plan_event: 0,
+            events,
             regions: states,
             holders,
             clock: 0,
             horizon,
             drained: false,
             tracks: Vec::new(),
-            transitions: BTreeMap::new(),
-            retries: BTreeMap::new(),
             next_seq: 0,
             completions: Vec::new(),
             outages: 0,
@@ -784,13 +806,10 @@ impl<'rt> GlobalRouter<'rt> {
     pub fn drain(&mut self) -> GlobalReport {
         assert!(!self.drained, "router already drained");
         // Deferred retries may extend the horizon while firing; loop until
-        // every queue is empty (bounded by the per-request budget).
+        // no event is pending (bounded by the per-request budget).
         loop {
             self.advance(self.horizon);
-            if self.next_plan_event >= self.plan.events.len()
-                && self.transitions.is_empty()
-                && self.retries.is_empty()
-            {
+            if self.events.is_empty() {
                 break;
             }
         }
@@ -911,7 +930,8 @@ impl<'rt> GlobalRouter<'rt> {
             },
             availability: GlobalAvailability {
                 regions: regions.len(),
-                region_faults_applied: self.next_plan_event,
+                // No event is pending, so every plan event has applied.
+                region_faults_applied: self.plan.len(),
                 outages: self.outages,
                 recoveries: self.recoveries,
                 flash_crowd_events: self.flash_crowds,
@@ -966,66 +986,40 @@ impl<'rt> GlobalRouter<'rt> {
 
     // --- the global event loop ---------------------------------------------
 
-    /// Applies every scheduled event due at or before `target`, in time
-    /// order; same-cycle ties resolve plan events → health transitions →
-    /// retries, each source internally ordered (plan canonical order,
-    /// scheduling sequence for the rest).
+    /// Applies every pending event due at or before `target` in set order,
+    /// then advances the router clock.
     fn advance(&mut self, target: u64) {
-        loop {
-            let plan_at = self
-                .plan
-                .events
-                .get(self.next_plan_event)
-                .map(|e| e.at_cycles)
-                .filter(|&t| t <= target);
-            let transition_at = self
-                .transitions
-                .keys()
-                .next()
-                .map(|&(t, _)| t)
-                .filter(|&t| t <= target);
-            let retry_at = self
-                .retries
-                .keys()
-                .next()
-                .map(|&(t, _)| t)
-                .filter(|&t| t <= target);
-            let due = [plan_at, transition_at, retry_at]
-                .into_iter()
-                .enumerate()
-                .filter_map(|(rank, at)| at.map(|t| (t, rank)))
-                .min();
-            match due {
-                None => break,
-                Some((_, 0)) => self.apply_plan_event(),
-                Some((_, 1)) => self.apply_transition(),
-                Some((_, _)) => self.apply_retry(),
+        while let Some(&(at, event)) = self.events.first().filter(|&&(at, _)| at <= target) {
+            self.events.pop_first();
+            match event {
+                GlobalEvent::Plan(index) => self.apply_plan_event(at, self.plan.events[index].kind),
+                GlobalEvent::Transition {
+                    region,
+                    generation,
+                    target,
+                    ..
+                } => self.apply_transition(at, region, generation, target),
+                GlobalEvent::Retry { id, .. } => self.route(id, at),
             }
         }
         self.clock = self.clock.max(target);
     }
 
-    /// Applies the next region-plan event.
-    fn apply_plan_event(&mut self) {
-        let event = self.plan.events[self.next_plan_event];
-        self.next_plan_event += 1;
-        match event.kind {
+    /// Applies one region-plan event striking at `at`.
+    fn apply_plan_event(&mut self, at: u64, kind: RegionFaultKind) {
+        match kind {
             RegionFaultKind::RegionOutage { region } => {
                 self.outages += 1;
-                self.set_health(region, RegionHealth::Suspect, event.at_cycles);
-                let down_at = event
-                    .at_cycles
-                    .saturating_add(self.config.suspect_grace_cycles);
+                self.set_health(region, RegionHealth::Suspect, at);
+                let down_at = at.saturating_add(self.config.suspect_grace_cycles);
                 self.schedule_transition(down_at, region, RegionHealth::Down);
             }
             RegionFaultKind::RegionRecovery { region } => {
                 self.recoveries += 1;
                 // Recovery may land while still Suspect (inside the grace
                 // window): moving the generation cancels the pending Down.
-                self.set_health(region, RegionHealth::Recovering, event.at_cycles);
-                let healthy_at = event
-                    .at_cycles
-                    .saturating_add(self.config.recovery_warmup_cycles);
+                self.set_health(region, RegionHealth::Recovering, at);
+                let healthy_at = at.saturating_add(self.config.recovery_warmup_cycles);
                 self.schedule_transition(healthy_at, region, RegionHealth::Healthy);
             }
             RegionFaultKind::FlashCrowd { .. } => {
@@ -1039,21 +1033,26 @@ impl<'rt> GlobalRouter<'rt> {
     /// Queues a timed health transition, pinned to the region's current
     /// generation so later transitions invalidate it.
     fn schedule_transition(&mut self, at: u64, region: usize, target: RegionHealth) {
-        self.horizon = self.horizon.max(at);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.transitions
-            .insert((at, seq), (region, self.regions[region].generation, target));
+        let generation = self.regions[region].generation;
+        self.schedule(at, |seq| GlobalEvent::Transition {
+            seq,
+            region,
+            generation,
+            target,
+        });
     }
 
-    /// Fires the earliest pending timed transition.
-    fn apply_transition(&mut self) {
-        let (&(at, seq), &(region, generation, target)) = self
-            .transitions
-            .iter()
-            .next()
-            .expect("advance only fires with a pending transition");
-        self.transitions.remove(&(at, seq));
+    /// Queues the event `make` builds from the next scheduling sequence
+    /// number at `at`, extending the horizon to cover it.
+    fn schedule(&mut self, at: u64, make: impl FnOnce(u64) -> GlobalEvent) {
+        self.horizon = self.horizon.max(at);
+        self.events.insert((at, make(self.next_seq)));
+        self.next_seq += 1;
+    }
+
+    /// Fires a timed transition of `region` to `target` at `at`, scheduled
+    /// under `generation`.
+    fn apply_transition(&mut self, at: u64, region: usize, generation: u64, target: RegionHealth) {
         if self.regions[region].generation != generation {
             // A plan event moved the region on (e.g. it recovered inside
             // the grace window); this transition is stale.
@@ -1072,17 +1071,6 @@ impl<'rt> GlobalRouter<'rt> {
                 self.route(id, at);
             }
         }
-    }
-
-    /// Fires the earliest pending retry.
-    fn apply_retry(&mut self) {
-        let (&(at, seq), &id) = self
-            .retries
-            .iter()
-            .next()
-            .expect("advance only fires with a pending retry");
-        self.retries.remove(&(at, seq));
-        self.route(id, at);
     }
 
     /// Moves `region` to `new` at virtual time `at`, closing the previous
@@ -1109,13 +1097,10 @@ impl<'rt> GlobalRouter<'rt> {
     /// Weighted backlog snapshot of `region` (step its fleet to the
     /// decision point first).
     fn weighted_backlog(&self, region: usize) -> u64 {
-        self.regions[region]
-            .fleet
-            .class_backlog_cycles()
-            .iter()
-            .zip(self.config.class_weights)
-            .map(|(&b, w)| b.saturating_mul(w))
-            .fold(0, u64::saturating_add)
+        weighted_pressure(
+            self.regions[region].fleet.class_backlog_cycles(),
+            self.config.class_weights,
+        )
     }
 
     /// Routes request `id` at virtual time `at`: pick a routable holder,
@@ -1187,12 +1172,11 @@ impl<'rt> GlobalRouter<'rt> {
         }
         self.tracks[id].attempts += 1;
         let backoff = self.config.retry.backoff_cycles(self.tracks[id].attempts);
-        let when = at.saturating_add(backoff);
-        self.horizon = self.horizon.max(when);
         self.retries_scheduled += 1;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.retries.insert((when, seq), id);
+        self.schedule(at.saturating_add(backoff), |seq| GlobalEvent::Retry {
+            seq,
+            id,
+        });
     }
 
     /// Sheds request `id` — the graceful-degradation outcome.

@@ -795,6 +795,12 @@ impl<'rt> ServeSession<'rt> {
     /// event horizon instead of inventing step targets; a stale window
     /// event processes as a no-op, so stepping to a reported time always
     /// makes progress.
+    ///
+    /// Stale window entries (their batch already committed) still count
+    /// here and must stay: a [`crate::dag::DagOrchestrator`] turns every
+    /// reported time into a [`crate::fleet::FleetSession::observe_until`]
+    /// call, which extends the fleet's event horizon and so decides which
+    /// scaling checks fire.  Pruning them would change report bytes.
     #[must_use]
     pub fn next_event_cycles(&self) -> Option<u64> {
         let window = self

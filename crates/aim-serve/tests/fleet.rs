@@ -597,6 +597,65 @@ fn elastic_scaling_grows_under_pressure_and_drains_when_idle() {
 }
 
 #[test]
+fn a_fault_applies_before_a_scale_check_on_the_same_cycle() {
+    // One shard of two chips, one worker active, a deep backlog at the
+    // first scaling check, and the shard's only other chip dying on exactly
+    // that cycle.  Faults come first on ties, so the check already sees
+    // one live chip and cannot scale up; the reverse order would activate
+    // the doomed chip first and count a scale-up.
+    const CHECK_AT: u64 = 1_000;
+    let serve = ServeConfig {
+        chips: 2,
+        max_batch: 1,
+        backend: matrix_backend(),
+        ..ServeConfig::default()
+    };
+    let runtime = ServeRuntime::from_plans(plans().clone(), serve);
+    let trace: Vec<TraceRequest> = (0..24)
+        .map(|i| TraceRequest {
+            model: i % 2,
+            arrival_cycles: 0,
+            deadline_cycles: 100_000_000,
+            slo: SloClass::Standard,
+        })
+        .collect();
+    let config = FleetConfig {
+        shards: 1,
+        shard_policy: ShardPolicy::RoundRobin,
+        initial_workers: 1,
+        scaling: Some(ScalingConfig {
+            check_interval_cycles: CHECK_AT,
+            scale_up_backlog_cycles: 1_000,
+            scale_down_backlog_cycles: 100,
+            min_workers: 1,
+            max_workers: 0,
+            class_weights: [1, 2, 4],
+        }),
+    };
+    let run = |death_at: u64| {
+        let faults = FaultPlan::new(vec![FaultEvent {
+            at_cycles: death_at,
+            kind: FaultKind::ChipDeath { shard: 0, chip: 1 },
+        }]);
+        FleetSession::serve_trace(&runtime, config, faults, &trace)
+    };
+    // Control: a death one cycle later leaves the check free to scale up,
+    // so the backlog really is above the threshold at the tie.
+    let later = run(CHECK_AT + 1);
+    assert_eq!(
+        later.availability.scale_ups, 1,
+        "the backlog must trip scale-up"
+    );
+    let tied = run(CHECK_AT);
+    assert_eq!(tied.availability.chip_deaths, 1);
+    assert_eq!(
+        tied.availability.scale_ups, 0,
+        "the death applies before the same-cycle scale check"
+    );
+    assert_eq!(tied.serve.served_requests, trace.len());
+}
+
+#[test]
 fn by_model_routing_keeps_each_model_on_one_shard() {
     let serve = ServeConfig {
         chips: 2,

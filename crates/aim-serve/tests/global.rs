@@ -513,6 +513,120 @@ fn retried_requests_are_served_after_failback() {
     );
 }
 
+/// One Sprint region holding both models, under `plan`.
+fn single_region_run(
+    config: GlobalConfig,
+    plan: RegionFaultPlan,
+    trace: &[TraceRequest],
+) -> GlobalReport {
+    let runtime = ServeRuntime::from_plans(
+        menu(RegionHardware::Sprint).clone(),
+        serve_for(matrix_backend(), 0x71E),
+    );
+    GlobalRouter::serve_trace(
+        vec![RegionSpec {
+            name: "only".into(),
+            runtime: &runtime,
+            fleet: fleet_for(1),
+            faults: FaultPlan::none(),
+            models: vec![0, 1],
+        }],
+        MODELS,
+        config,
+        plan,
+        trace,
+    )
+}
+
+fn outage_then_recovery(outage_at: u64, recovery_at: u64) -> RegionFaultPlan {
+    RegionFaultPlan::new(vec![
+        RegionFaultEvent {
+            at_cycles: outage_at,
+            kind: RegionFaultKind::RegionOutage { region: 0 },
+        },
+        RegionFaultEvent {
+            at_cycles: recovery_at,
+            kind: RegionFaultKind::RegionRecovery { region: 0 },
+        },
+    ])
+}
+
+#[test]
+fn a_recovery_on_the_grace_deadline_cancels_the_pending_down() {
+    // A burst queues deep work, the region goes Suspect, and it recovers on
+    // exactly the cycle its Down transition is due.  Plan events apply
+    // before timed transitions on ties, so the recovery moves the region's
+    // generation first and the Down goes stale: nothing is evicted.
+    const OUTAGE_AT: u64 = 100;
+    const GRACE: u64 = 400;
+    let config = GlobalConfig {
+        suspect_grace_cycles: GRACE,
+        ..GlobalConfig::default()
+    };
+    let trace: Vec<TraceRequest> = (0..60)
+        .map(|i| TraceRequest {
+            model: i % MODELS,
+            arrival_cycles: 0,
+            deadline_cycles: 100_000_000,
+            slo: SloClass::Standard,
+        })
+        .collect();
+    // Control: a recovery one cycle later lets the Down fire, so the region
+    // really holds pending work at the tie.
+    let late = single_region_run(
+        config,
+        outage_then_recovery(OUTAGE_AT, OUTAGE_AT + GRACE + 1),
+        &trace,
+    );
+    assert!(
+        late.availability.migration_events > 0,
+        "the Down must find pending work to evict"
+    );
+    let tied = single_region_run(
+        config,
+        outage_then_recovery(OUTAGE_AT, OUTAGE_AT + GRACE),
+        &trace,
+    );
+    assert_eq!(tied.availability.recoveries, 1);
+    assert_eq!(
+        tied.availability.migration_events, 0,
+        "the recovery applies before the same-cycle Down transition"
+    );
+    assert_eq!(tied.availability.region_cycles_lost, 0);
+    assert_eq!(tied.summary.served_requests, trace.len());
+}
+
+#[test]
+fn a_retry_due_with_the_recovery_routes_on_that_attempt() {
+    // One request arrives while the only region is out and defers once;
+    // its retry falls due on exactly the recovery cycle.  Plan events apply
+    // before retries on ties, so the retry finds the region routable and
+    // serves; the reverse order would burn the single attempt and shed.
+    const ARRIVAL: u64 = 10_000;
+    let config = GlobalConfig {
+        retry: RetryConfig {
+            max_attempts: 1,
+            backoff_base_cycles: 20_000,
+            backoff_multiplier: 2,
+        },
+        ..GlobalConfig::default()
+    };
+    let trace = [TraceRequest {
+        model: 1,
+        arrival_cycles: ARRIVAL,
+        deadline_cycles: 100_000_000,
+        slo: SloClass::Standard,
+    }];
+    let report = single_region_run(
+        config,
+        outage_then_recovery(5_000, ARRIVAL + config.retry.backoff_base_cycles),
+        &trace,
+    );
+    assert_eq!(report.availability.retries_scheduled, 1);
+    assert_eq!(report.summary.shed_requests, 0, "the retry must not shed");
+    assert_eq!(report.summary.served_requests, 1);
+}
+
 #[test]
 fn placement_layouts_round_robin_and_count_replicas() {
     let layout = place_models(3, 2, 2);

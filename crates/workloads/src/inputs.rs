@@ -499,8 +499,14 @@ impl FaultPlan {
     /// before recoveries), then shard, then chip.
     #[must_use]
     pub fn new(mut events: Vec<FaultEvent>) -> Self {
-        events.sort_by_key(|e| (e.at_cycles, e.kind.rank(), e.kind.shard(), e.kind.chip()));
+        events.sort_by_key(Self::canonical_key);
         Self { events }
+    }
+
+    /// Sort key of the canonical order [`Self::new`] establishes.
+    fn canonical_key(event: &FaultEvent) -> (u64, usize, usize, usize) {
+        let kind = event.kind;
+        (event.at_cycles, kind.rank(), kind.shard(), kind.chip())
     }
 
     /// Number of scheduled faults.
@@ -529,9 +535,15 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics on a duplicate `ChipDeath` or on a `Degradation`/`Recovery`
-    /// targeting a chip that an earlier (or same-cycle) `ChipDeath` killed.
+    /// Panics when the events are not in the canonical order [`Self::new`]
+    /// sorts into (a struct literal can bypass it), on a duplicate
+    /// `ChipDeath`, or on a `Degradation`/`Recovery` targeting a chip that
+    /// an earlier (or same-cycle) `ChipDeath` killed.
     pub fn validate(&self) {
+        assert!(
+            self.events.is_sorted_by_key(Self::canonical_key),
+            "invalid fault plan: events are not in canonical order (build plans with FaultPlan::new)"
+        );
         let mut deaths: Vec<(usize, usize, u64)> = Vec::new();
         // Events are kept in canonical order (deaths sort first on ties), so
         // a single pass sees every death before the events it invalidates.
@@ -796,8 +808,13 @@ impl RegionFaultPlan {
     /// before crowds), then by targeted region/model.
     #[must_use]
     pub fn new(mut events: Vec<RegionFaultEvent>) -> Self {
-        events.sort_by_key(|e| (e.at_cycles, e.kind.rank(), e.kind.sort_index()));
+        events.sort_by_key(Self::canonical_key);
         Self { events }
+    }
+
+    /// Sort key of the canonical order [`Self::new`] establishes.
+    fn canonical_key(event: &RegionFaultEvent) -> (u64, usize, usize) {
+        (event.at_cycles, event.kind.rank(), event.kind.sort_index())
     }
 
     /// Number of scheduled events.
@@ -818,11 +835,17 @@ impl RegionFaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics when an event addresses a region or model out of range, when
-    /// an outage strikes a region that is already out, when a recovery
+    /// Panics when the events are not in the canonical order [`Self::new`]
+    /// sorts into, when an event addresses a region or model out of range,
+    /// when an outage strikes a region that is already out, when a recovery
     /// targets a region that is not out, or when a flash crowd injects zero
     /// requests.
     pub fn validate(&self, regions: usize, models: usize) {
+        assert!(
+            self.events.is_sorted_by_key(Self::canonical_key),
+            "invalid region plan: events are not in canonical order (build plans with \
+             RegionFaultPlan::new)"
+        );
         let mut out = vec![false; regions];
         for event in &self.events {
             match event.kind {
@@ -1550,6 +1573,28 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "invalid fault plan: events are not in canonical order")]
+    fn unsorted_fault_plans_fail_validation() {
+        FaultPlan {
+            events: vec![
+                FaultEvent {
+                    at_cycles: 90,
+                    kind: FaultKind::Recovery { shard: 0, chip: 0 },
+                },
+                FaultEvent {
+                    at_cycles: 10,
+                    kind: FaultKind::Degradation {
+                        shard: 0,
+                        chip: 0,
+                        slowdown_percent: 50,
+                    },
+                },
+            ],
+        }
+        .validate();
+    }
+
+    #[test]
     fn tiny_batches_are_handled() {
         let b = ActivationBatch {
             values: vec![7],
@@ -1653,6 +1698,24 @@ mod tests {
         assert_eq!(plan.events, vec![early, outage, crowd]);
         assert_eq!(plan.len(), 3);
         assert!(RegionFaultPlan::none().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid region plan: events are not in canonical order")]
+    fn unsorted_region_plans_fail_validation() {
+        RegionFaultPlan {
+            events: vec![
+                RegionFaultEvent {
+                    at_cycles: 90,
+                    kind: RegionFaultKind::RegionRecovery { region: 0 },
+                },
+                RegionFaultEvent {
+                    at_cycles: 10,
+                    kind: RegionFaultKind::RegionOutage { region: 0 },
+                },
+            ],
+        }
+        .validate(1, 1);
     }
 
     #[test]
